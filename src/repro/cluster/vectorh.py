@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.common.config import Config, DEFAULT_CONFIG
 from repro.common.errors import DataLossError, ReproError, StorageError
-from repro.engine.expressions import Expr
+from repro.engine.expressions import And, Col, Const, Eq, Expr, InList
 from repro.flow.assignment import affinity_map, responsibility_assignment
 from repro.hdfs.cluster import HdfsCluster
 from repro.hdfs.placement import VectorHPlacementPolicy
@@ -213,9 +213,10 @@ class VectorHCluster:
         stored = self.tables[table]
         scale = stored._decimal_scale(column)
         probe = int(round(value * scale)) if scale is not None else value
-        # lookups run per partition at the responsible node
+        # lookups run per partition at the responsible node; a probe on
+        # the partition key reads only the partition it hashes to
         out = {c: [] for c in columns}
-        for pid in range(stored.n_partitions):
+        for pid in stored.partitions_for([(column, "=", value)]):
             reader = self.responsible(table, pid)
             t = trans.trans_for(table, pid) if trans is not None else None
             partial = {c: [] for c in columns}
@@ -445,7 +446,8 @@ class VectorHCluster:
             trans = self.begin()
         deleted = 0
         needed = predicate.columns_used()
-        for pid in range(stored.n_partitions):
+        pins = list(skip_predicates) + _pins(predicate)
+        for pid in stored.partitions_for(pins):
             t = trans.trans_for(table, pid)
             res = stored.scan_partition(pid, needed, list(skip_predicates),
                                         trans=t,
@@ -462,17 +464,30 @@ class VectorHCluster:
     def update_where(self, table: str, predicate: Expr,
                      assignments: Dict[str, Expr],
                      trans: Optional[DistributedTransaction] = None) -> int:
-        """UPDATE table SET col=expr... WHERE predicate; returns rows hit."""
+        """UPDATE table SET col=expr... WHERE predicate; returns rows hit.
+
+        A row whose partition key changes to a value of another partition
+        moves there: it is deleted from its old partition and inserted
+        into the new one in the same transaction, so pruned scans of the
+        new key find it.
+        """
         stored = self.tables[table]
         own_txn = trans is None
         if own_txn:
             trans = self.begin()
-        needed = list(dict.fromkeys(
-            predicate.columns_used()
-            + [c for e in assignments.values() for c in e.columns_used()]
-        ))
-        updated = 0
-        for pid in range(stored.n_partitions):
+        moves_rows = stored.schema.is_partitioned and any(
+            c in stored.schema.partition_key for c in assignments)
+        if moves_rows:
+            needed = stored.schema.column_names
+        else:
+            needed = list(dict.fromkeys(
+                predicate.columns_used()
+                + [c for e in assignments.values() for c in e.columns_used()]
+            ))
+        # find every hit before changing anything, so a moved row is not
+        # found again in its new partition
+        hits = []
+        for pid in stored.partitions_for(_pins(predicate)):
             t = trans.trans_for(table, pid)
             node = self.responsible(table, pid)
             res = stored.scan_partition(pid, needed, trans=t, reader=node,
@@ -487,8 +502,24 @@ class VectorHCluster:
                 if new_values[col].ndim == 0:
                     new_values[col] = np.full(int(mask.sum()),
                                               new_values[col])
-            updated += stored.modify_rows(pid, res.identities[mask],
-                                          new_values, t)
+            hits.append((pid, t, res.identities[mask], hit, new_values))
+        updated = 0
+        for pid, t, identities, hit, new_values in hits:
+            updated += len(identities)
+            if moves_rows:
+                rows = {**hit, **new_values}
+                dest = stored.row_partitions(rows)
+                moved = dest != pid
+                if moved.any():
+                    stored.delete_rows(pid, identities[moved], t)
+                    for new_pid in np.unique(dest[moved]).tolist():
+                        sel = dest == new_pid
+                        stored.insert_rows(
+                            new_pid, {k: v[sel] for k, v in rows.items()},
+                            trans.trans_for(table, new_pid))
+                    identities = identities[~moved]
+                    new_values = {k: v[~moved] for k, v in new_values.items()}
+            stored.modify_rows(pid, identities, new_values, t)
         if own_txn:
             trans.commit()
         return updated
@@ -888,3 +919,23 @@ class VectorHCluster:
     def clear_buffer_pools(self) -> None:
         for pool in self._pools.values():
             pool.clear()
+
+
+def _pins(predicate: Expr) -> List[Tuple[str, str, object]]:
+    """``(column, op, literal)`` pins from the top-level conjuncts of a
+    bound predicate: ``Col == literal`` and ``InList(Col, ...)``."""
+    pins: List[Tuple[str, str, object]] = []
+    pending = [predicate]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, And):
+            pending.extend(node.children)
+        elif isinstance(node, Eq):
+            for col, lit in ((node.left, node.right),
+                             (node.right, node.left)):
+                if isinstance(col, Col) and isinstance(lit, Const):
+                    pins.append((col.name, "=", lit.value))
+                    break
+        elif isinstance(node, InList) and isinstance(node.child, Col):
+            pins.append((node.child.name, "in", node.values))
+    return pins

@@ -11,7 +11,7 @@ report locality percentages and remote-byte volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.common.config import Config, DEFAULT_CONFIG
 from repro.common.errors import HdfsError
@@ -117,6 +117,9 @@ class HdfsCluster:
             name: DataNode(name, self.registry) for name in node_names
         }
         self.files: Dict[str, HdfsFile] = {}
+        #: namespace index: every directory ("/db/t/", with the slash) to
+        #: the paths of all files below it, kept by create and delete
+        self._dirs: Dict[str, Set[str]] = {}
         self.placement_policy = placement_policy or DefaultPlacementPolicy(
             seed=config.seed
         )
@@ -164,7 +167,16 @@ class HdfsCluster:
         return path in self.files
 
     def list_files(self, prefix: str = "") -> List[str]:
+        """Sorted paths starting with ``prefix``; a directory prefix
+        (ending in "/") is answered from the namespace index."""
+        if prefix.endswith("/"):
+            return sorted(self._dirs.get(prefix, ()))
         return sorted(p for p in self.files if p.startswith(prefix))
+
+    def alive_replica_count(self, path: str) -> int:
+        """How many of ``path``'s replicas sit on alive datanodes."""
+        nodes = self.nodes
+        return sum(1 for h in self._file(path).replicas if nodes[h].alive)
 
     def file_size(self, path: str) -> int:
         return self._file(path).size
@@ -193,6 +205,8 @@ class HdfsCluster:
             raise HdfsError("no alive datanodes for placement")
         f = HdfsFile(path=path, replicas=targets, replication=r)
         self.files[path] = f
+        for directory in _directories(path):
+            self._dirs.setdefault(directory, set()).add(path)
         return f
 
     def append(self, path: str, data: bytes, writer: str | None = None) -> None:
@@ -214,6 +228,11 @@ class HdfsCluster:
         f = self.files.pop(path, None)
         if f is None:
             raise HdfsError(f"no such file: {path}")
+        for directory in _directories(path):
+            below = self._dirs[directory]
+            below.discard(path)
+            if not below:
+                del self._dirs[directory]
         for name in f.replicas:
             if name in self.nodes:
                 self.nodes[name].bytes_stored -= f.size
@@ -388,3 +407,11 @@ class HdfsCluster:
         """Deprecated shim: resets the hdfs_* counter series in the
         shared registry (``registry.reset("hdfs_")`` is the new path)."""
         self.registry.reset("hdfs_")
+
+
+def _directories(path: str) -> Iterator[str]:
+    """Every directory prefix of ``path``, each ending in "/"."""
+    end = path.find("/")
+    while end != -1:
+        yield path[:end + 1]
+        end = path.find("/", end + 1)

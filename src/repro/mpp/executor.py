@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -187,6 +187,8 @@ class _RunContext:
         self.exchange_order: List[Exchange] = []
         self.replays: Dict[P.PhysNode, "_SharedReplay"] = {}
         self.replay_order: List["_SharedReplay"] = []
+        #: partitions each scan reads after pruning (StreamingScan)
+        self.scan_partitions: Dict[P.PScan, Sequence[int]] = {}
 
 
 class StreamingScan(Operator):
@@ -216,6 +218,16 @@ class StreamingScan(Operator):
             cols[name] = np.empty(0, dtype=dtype)
         return Batch(cols, 0)
 
+    def _partitions(self, table) -> Sequence[int]:
+        """The partitions this scan reads: those its skip predicates pin
+        the partition key to, else all. Computed once per run and shared
+        by every stream of the scan."""
+        pids = self.ctx.scan_partitions.get(self.phys)
+        if pids is None:
+            pids = table.partitions_for(self.phys.skip_predicates)
+            self.ctx.scan_partitions[self.phys] = pids
+        return pids
+
     def _run(self):
         cluster = self.cluster
         phys = self.phys
@@ -223,7 +235,7 @@ class StreamingScan(Operator):
         trans = self.ctx.trans
         virtual = getattr(table, "is_virtual", False)
         yielded = False
-        for pid in range(table.n_partitions):
+        for pid in self._partitions(table):
             if not virtual and \
                     cluster.responsible(phys.table, pid) != self.node:
                 continue

@@ -129,9 +129,14 @@ class ParallelRewriter:
     def _static_rows(self, node: L.LogicalPlan) -> float:
         if isinstance(node, L.LScan):
             table = _table(self.cluster, node.table)
-            rows = sum(p.n_stable for p in table.partitions)
-            if node.skip_predicates:
-                rows *= 0.3 ** len(node.skip_predicates)
+            pinned = table.pinned_partitions(node.skip_predicates)
+            if pinned is not None:
+                # a pinned scan reads its partitions whole
+                rows = sum(table.partitions[p].n_stable for p in pinned)
+            else:
+                rows = sum(p.n_stable for p in table.partitions)
+                if node.skip_predicates:
+                    rows *= 0.3 ** len(node.skip_predicates)
             return max(rows, 1.0)
         if isinstance(node, L.LSelect):
             return max(self.estimate_rows(node.child) * 0.3, 1.0)

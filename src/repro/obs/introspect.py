@@ -77,6 +77,12 @@ class VirtualTable:
     def _decimal_scale(self, name: str) -> Optional[int]:
         return None
 
+    def pinned_partitions(self, predicates) -> None:
+        return None  # its one partition is always read
+
+    def partitions_for(self, predicates) -> range:
+        return range(self.n_partitions)
+
     def snapshot_rows(self) -> List[tuple]:
         """The current rows, in schema column order."""
         return self._snapshot_fn(self.cluster)
@@ -502,7 +508,7 @@ def explain_analyze(cluster, plan, flags=None, trans=None,
     # than the one planned up front: render what actually ran
     phys = getattr(result, "_final_root", qplan.root)
     annotations = getattr(result, "_annotations", qplan.annotations)
-    text = annotate_plan(phys, result, before, after,
+    text = annotate_plan(cluster, phys, result, before, after,
                          annotations=annotations)
     result.plan_text = text
     return text, result
@@ -528,7 +534,8 @@ def _series_delta(before, after, name) -> Dict[tuple, float]:
             for key, value in after.get(name, {}).items()}
 
 
-def annotate_plan(phys, result, before, after, annotations=None) -> str:
+def annotate_plan(cluster, phys, result, before, after,
+                  annotations=None) -> str:
     """Render a physical plan with per-operator actuals.
 
     Per operator: ``rows`` (tuples produced, summed over streams) and
@@ -538,8 +545,9 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
     ``(fb)`` when feedback-backed) and the q-error
     ``max(actual/est, est/actual)`` -- misestimates are visible without
     reading the feedback store. Exchanges add total wire traffic plus one
-    line per node->node link; scans add MinMax skipped/total blocks for
-    their table. The footer reconciles totals against the registry
+    line per node->node link; scans add the partitions they read after
+    pruning over the table's partitions and MinMax skipped/total blocks
+    for their table. The footer reconciles totals against the registry
     snapshot diff.
     """
     profiles = _flatten_profiles(result.profiles)
@@ -592,6 +600,10 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
                 actuals.append(f"wire={int(stats['bytes'])}B"
                                f"/{int(stats['messages'])}msgs")
         if isinstance(node, P.PScan):
+            table = resolve_table(cluster, node.table)
+            pinned = table.pinned_partitions(node.skip_predicates)
+            read = table.n_partitions if pinned is None else len(pinned)
+            actuals.append(f"partitions {read}/{table.n_partitions}")
             scanned = scanned_delta.get((node.table,), 0)
             skipped = skipped_delta.get((node.table,), 0)
             if scanned or skipped:

@@ -825,9 +825,7 @@ class FlightRecorder:
         for stored in cluster.tables.values():
             for part in stored.partitions:
                 for path in part.file_paths():
-                    alive = sum(
-                        1 for h in cluster.hdfs.replica_locations(path)
-                        if cluster.hdfs.nodes[h].alive)
+                    alive = cluster.hdfs.alive_replica_count(path)
                     degree = alive if degree is None else min(degree, alive)
         if degree is None:
             return min(cluster.config.replication,

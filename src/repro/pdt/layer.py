@@ -221,7 +221,10 @@ class PdtLayer:
         self.entries.extend(entries)
 
     def copy(self) -> "PdtLayer":
-        return PdtLayer([e.clone() for e in self.entries])
+        """A new layer over the same entries: committed entries are never
+        changed in place (commit and replay re-sequence clones), so the
+        copy-on-write layers share them."""
+        return PdtLayer(self.entries)
 
     def counts(self) -> Dict[str, int]:
         out = {"insert": 0, "delete": 0, "modify": 0}

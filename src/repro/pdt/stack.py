@@ -83,6 +83,10 @@ class TransPdt:
 
     # -- scan support --------------------------------------------------------------
 
+    def snapshot_layers(self) -> Tuple[PdtLayer, PdtLayer]:
+        """The committed (Read, Write) layers this transaction reads."""
+        return self._read_layer, self._write_layer
+
     def visible_entries(self) -> List[DeltaEntry]:
         """All entries a scan inside this transaction must merge."""
         return (self._read_layer.entries
@@ -185,7 +189,7 @@ class PdtStack:
     def flush_write_to_read(self) -> None:
         """Propagate Write-PDT into the Read-PDT (threshold reached)."""
         new_read = self.read.copy()
-        new_read.extend(e.clone() for e in self.write.entries)
+        new_read.extend(self.write.entries)
         self.read = new_read
         self.write = PdtLayer()
 

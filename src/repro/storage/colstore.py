@@ -101,14 +101,16 @@ class PartitionStore:
         if n_new == 0:
             return self.n_stable
 
-        merged, merge_start = self._absorb_partials(arrays, writer)
-        self._truncate_minmax(merge_start)
+        merged = self._absorb_partials(arrays, writer)
         new_partials: Dict[str, Tuple[int, np.ndarray]] = {}
 
         for name in self.schema.column_names:
             ctype = self.schema.ctype(name)
-            data = merged[name]
-            start = merge_start
+            start, data = merged[name]
+            if name in self.minmax.ranges:
+                self.minmax.ranges[name] = [
+                    r for r in self.minmax.ranges[name] if r.row_start < start
+                ]
             per_block = rows_per_block(ctype, self.config)
             pos = 0
             while len(data) - pos >= per_block:
@@ -121,7 +123,7 @@ class PartitionStore:
 
         if new_partials:
             self._write_partials(new_partials, writer)
-        self.n_stable = merge_start + len(next(iter(merged.values())))
+        self.n_stable += n_new
         return self.n_stable
 
     def _validated(self, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -140,24 +142,25 @@ class PartitionStore:
         return arrays
 
     def _absorb_partials(self, arrays, writer):
-        """Prepend previously-partial rows; free the old partial file."""
-        if not self._partial_refs:
-            return arrays, self.n_stable
-        merge_start = min(r.row_start for r in self._partial_refs.values())
+        """Prepend each column's partial block to its new rows and free
+        the old partial file. Returns ``{column: (first row, values)}``:
+        columns block at different row counts, so their partial blocks
+        start at different rows."""
         merged = {}
         for name in self.schema.column_names:
             ref = self._partial_refs.get(name)
-            if ref is not None and ref.row_start == merge_start:
-                old = self._read_block(ref, reader=writer)
-                merged[name] = np.concatenate([old, arrays[name]])
-                self.blocks[name].remove(ref)
+            if ref is None:
+                merged[name] = (self.n_stable, arrays[name])
             else:
-                merged[name] = arrays[name]
+                old = self._read_block(ref, reader=writer)
+                merged[name] = (ref.row_start,
+                                np.concatenate([old, arrays[name]]))
+                self.blocks[name].remove(ref)
         if self._partial_file is not None:
             self.hdfs.delete(self._partial_file)
         self._partial_file = None
         self._partial_refs = {}
-        return merged, merge_start
+        return merged
 
     def _write_block(self, name: str, ctype: ColumnType, values: np.ndarray,
                      row_start: int, writer, partial: bool) -> None:
@@ -209,12 +212,6 @@ class PartitionStore:
             len(block.data),
         )
         return header + block.data
-
-    def _truncate_minmax(self, row_start: int) -> None:
-        for col, ranges in self.minmax.ranges.items():
-            self.minmax.ranges[col] = [
-                r for r in ranges if r.row_start < row_start
-            ]
 
     # ------------------------------------------------------------------- reads
 

@@ -17,6 +17,8 @@ and may buffer small inserts as PDT tail inserts (paper section 6).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +33,9 @@ from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
 from repro.storage.colstore import PartitionStore
 from repro.storage.schema import TableSchema
+
+
+_RANGE_OPS = ("<", "<=", ">", ">=")
 
 
 @dataclass
@@ -72,17 +77,23 @@ class StoredTable:
         self._merge_plan_cache: Dict[int, tuple] = {}
         self.propagation_stats = PropagationStats()
 
-    def _merge_plan(self, pid: int):
-        """Cached classification of the committed PDT entries, keyed by
-        the stack's layer identities (copy-on-write makes these stable)."""
-        stack = self.pdt[pid]
-        key = (id(stack.read), len(stack.read),
-               id(stack.write), len(stack.write))
+    def _merge_plan(self, pid: int, trans: Optional[TransPdt]):
+        """Cached classification of the committed PDT entries a scan
+        sees, or None when ``trans`` holds entries of its own. Commits
+        install new layers instead of changing old ones, so the layer
+        objects identify their contents."""
+        if trans is None:
+            layers = (self.pdt[pid].read, self.pdt[pid].write)
+        elif len(trans):
+            return None
+        else:
+            layers = trans.snapshot_layers()
         cached = self._merge_plan_cache.get(pid)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        plan = classify_entries(stack.scan_entries())
-        self._merge_plan_cache[pid] = (key, plan)
+        if (cached is not None and cached[0] is layers[0]
+                and cached[1] is layers[1]):
+            return cached[2]
+        plan = classify_entries(layers[0].entries + layers[1].entries)
+        self._merge_plan_cache[pid] = (*layers, plan)
         return plan
 
     # ---------------------------------------------------------------- identity
@@ -133,13 +144,111 @@ class StoredTable:
         return arr
 
     def _storage_predicates(self, predicates):
+        """Skip predicates with DECIMAL literals scaled to storage form.
+        A literal with more digits than the scale widens its bound to
+        the next whole storage value, so MinMax stays conservative."""
         fixed = []
         for col, op, literal in predicates:
             scale = self._decimal_scale(col)
-            if scale is not None and isinstance(literal, float):
-                literal = int(round(literal * scale))
+            if (scale is not None and isinstance(literal, numbers.Real)
+                    and not isinstance(literal, (bool, np.bool_))):
+                scaled = literal * scale
+                stored = int(round(scaled))
+                if stored / scale == literal or op not in _RANGE_OPS:
+                    literal = stored
+                elif op in ("<", "<="):
+                    op, literal = "<=", math.ceil(scaled)
+                else:
+                    op, literal = ">=", math.floor(scaled)
             fixed.append((col, op, literal))
         return fixed
+
+    def _storage_literal(self, name: str, literal):
+        """``literal`` in ``name``'s storage form, or None when no stored
+        value converts to it exactly (wrong type, a fraction on an
+        integer column, more digits than a DECIMAL's scale)."""
+        ctype = self.schema.ctype(name)
+        if ctype.is_string:
+            return literal if isinstance(literal, str) else None
+        if (not isinstance(literal, numbers.Real)
+                or isinstance(literal, (bool, np.bool_))):
+            return None
+        if ctype.dtype.kind == "f":
+            return float(literal)
+        if ctype.dtype.kind not in "iu":
+            return None
+        scale = self._decimal_scale(name) or 1
+        try:
+            stored = int(round(literal * scale))
+        except (ValueError, OverflowError):  # NaN, infinity
+            return None
+        info = np.iinfo(ctype.dtype)
+        exact = stored / scale == literal if scale > 1 else stored == literal
+        return stored if exact and info.min <= stored <= info.max else None
+
+    # ------------------------------------------------------ partition pruning
+
+    def pinned_partitions(self, predicates) -> Optional[List[int]]:
+        """The hash partitions a conjunctive predicate set can touch.
+
+        Every partition-key column must be pinned: by an ``=`` literal,
+        or, for a single-column key, by an ``in`` list of literals.
+        Pinned literals are converted to storage form and hashed with
+        :meth:`TableSchema.partition_ids`, the function that places rows
+        on load and insert. Returns the sorted partition ids, or None --
+        every partition -- when the key is not pinned.
+        """
+        if not self.schema.is_partitioned:
+            return None
+        key = list(self.schema.partition_key)
+        pins: Dict[str, List[object]] = {}
+        for col, op, literal in predicates:
+            if col not in key:
+                continue
+            if op == "=":
+                values = [literal]
+            elif op == "in" and len(key) == 1:
+                values = list(literal)
+            else:
+                continue
+            stored = [self._storage_literal(col, v) for v in values]
+            if any(v is None for v in stored):
+                continue
+            if col not in pins or len(stored) < len(pins[col]):
+                pins[col] = stored
+        if len(pins) != len(key):
+            return None
+        # an in list pins a single-column key, so the pinned rows are
+        # the values of that list, or one row of = literals
+        arrays = [np.asarray(pins[c], dtype=self.schema.ctype(c).dtype)
+                  for c in key]
+        return sorted(set(self.schema.partition_ids(arrays).tolist()))
+
+    def partitions_for(self, predicates) -> Sequence[int]:
+        """The partitions a scan or DML statement with these conjunctive
+        predicates must read: the pinned ones, else all. Counts the
+        skipped ones in ``scan_partitions_pruned_total``."""
+        pinned = self.pinned_partitions(predicates)
+        if pinned is None:
+            return range(self.n_partitions)
+        registry = getattr(self.hdfs, "registry", None)
+        if registry is not None and len(pinned) < self.n_partitions:
+            registry.counter(
+                "scan_partitions_pruned_total",
+                "Hash partitions skipped because the predicates pin the "
+                "partition key", labels=("table",),
+            ).inc(self.n_partitions - len(pinned), table=self.schema.name)
+        return pinned
+
+    def row_partitions(self, columns: Dict[str, np.ndarray]) -> np.ndarray:
+        """The partition of each row of engine-form ``columns`` of a
+        partitioned table, as load and insert place it."""
+        key = list(self.schema.partition_key)
+        converted = self.to_storage_columns({k: columns[k] for k in key})
+        return self.schema.partition_ids([
+            np.asarray(converted[k], dtype=self.schema.ctype(k).dtype)
+            for k in key
+        ])
 
     def _record_minmax(self, store: PartitionStore,
                        ranges: Sequence[Tuple[int, int]],
@@ -247,10 +356,18 @@ class StoredTable:
             self._record_minmax(store, ranges, needed)
         requested = list(needed)
         n_stable = store.n_stable
-        may_disorder = self.schema.is_clustered and any(
-            e.kind.value == "insert" and e.anchor_sid < n_stable
-            for e in entries
-        )
+        plan = self._merge_plan(pid, trans) if entries else None
+        if not self.schema.is_clustered:
+            may_disorder = False
+        elif plan is not None:
+            # live inserts are sorted by anchor
+            may_disorder = bool(plan.inserts) and \
+                plan.inserts[0].anchor_sid < n_stable
+        else:
+            may_disorder = any(
+                e.kind.value == "insert" and e.anchor_sid < n_stable
+                for e in entries
+            )
         if may_disorder:
             # The cluster key is needed to restore sort order after merging
             # non-tail PDT inserts, even when the query did not ask for it.
@@ -268,11 +385,8 @@ class StoredTable:
         sub_n, remapped, offsets = _remap_entries(
             entries, ranges, store.n_stable
         )
-        plan = None
-        if remapped is entries and trans is None:
-            # full-range, transaction-free scan: reuse the classified plan
-            # until the next commit bumps the stack version
-            plan = self._merge_plan(pid)
+        if remapped is not entries:
+            plan = None  # classified from the remapped entries instead
         with kernel("scan.pdt_merge") as k:
             merged = apply_entries(stable_cols, sub_n, remapped, needed,
                                    plan=plan)
@@ -449,7 +563,9 @@ def _remap_entries(entries, ranges, n_stable):
             return sub_n
         return None
 
-    if len(ranges) == 1 and ranges[0] == (0, n_stable):
+    if n_stable == 0 or (len(ranges) == 1 and ranges[0] == (0, n_stable)):
+        # the whole image is selected (an empty stable image has no
+        # ranges): entries keep their anchors and targets
         return n_stable, entries, offsets
 
     # Entries are read-only during merging, so remapped clones share the

@@ -322,6 +322,9 @@ class WorkloadManager:
         self.admission = AdmissionController(
             cluster, memory_budget_per_node, max_concurrent or None)
         self._records: "OrderedDict[int, QueryRecord]" = OrderedDict()
+        #: the records submitted with a timeout that may still be live;
+        #: every round checks only these
+        self._timed: "OrderedDict[int, QueryRecord]" = OrderedDict()
         #: per-tenant admission queues; insertion-ordered, tenant
         #: selection is by (priority, pass, name) so iteration order
         #: never matters for correctness -- only for determinism
@@ -530,6 +533,8 @@ class WorkloadManager:
             qplan=qplan,
         )
         self._records[qid] = record
+        if timeout is not None:
+            self._timed[qid] = record
         state = self.tenants.get(tenant)
         if state is None:
             state = self.register_tenant(tenant)
@@ -650,7 +655,9 @@ class WorkloadManager:
                 table = self.cluster.table(node.table)
                 if getattr(table, "is_virtual", False):
                     continue
-                for pid in range(table.n_partitions):
+                pinned = table.pinned_partitions(node.skip_predicates)
+                for pid in (range(table.n_partitions) if pinned is None
+                            else pinned):
                     seen.add((node.table, pid))
         return sorted(seen)
 
@@ -704,10 +711,10 @@ class WorkloadManager:
 
     def _check_timeouts(self) -> None:
         clock = self._clock.seconds
-        for record in list(self._records.values()):
-            if record.state in (QUEUED, RUNNING) and \
-                    record.timeout is not None and \
-                    clock - record.submit_sim > record.timeout:
+        for record in list(self._timed.values()):
+            if record.state not in (QUEUED, RUNNING):
+                del self._timed[record.query_id]
+            elif clock - record.submit_sim > record.timeout:
                 self.cancel(record.query_id, reason="timeout")
 
     # ----------------------------------------------------------- completion

@@ -40,6 +40,23 @@ class TestNamespace:
         hdfs.write_file("/other", b"x", "n1")
         assert hdfs.list_files("/db/") == ["/db/t/p1", "/db/t/p2"]
 
+    def test_directory_index_follows_create_and_delete(self, hdfs):
+        for path in ("/db/t/part-0000/c1", "/db/t/part-0000/c2",
+                     "/db/t/part-0001/c1", "/db/u/c1"):
+            hdfs.write_file(path, b"x", "n1")
+        assert hdfs.list_files("/db/t/part-0000/") == [
+            "/db/t/part-0000/c1", "/db/t/part-0000/c2"]
+        assert hdfs.list_files("/db/t/") == [
+            "/db/t/part-0000/c1", "/db/t/part-0000/c2", "/db/t/part-0001/c1"]
+        hdfs.delete("/db/t/part-0000/c1")
+        hdfs.delete("/db/u/c1")
+        assert hdfs.list_files("/db/t/part-0000/") == ["/db/t/part-0000/c2"]
+        assert hdfs.list_files("/db/u/") == []
+        assert hdfs.list_files("/db") == hdfs.list_files("/db/") == [
+            "/db/t/part-0000/c2", "/db/t/part-0001/c1"]
+        assert hdfs.list_files("/db/t/part") == [
+            "/db/t/part-0000/c2", "/db/t/part-0001/c1"]
+
     def test_delete(self, hdfs):
         hdfs.write_file("/gone", b"abc", "n1")
         holders = hdfs.replica_locations("/gone")

@@ -90,6 +90,31 @@ class TestPartitionStore:
         out = store.read_column("k")
         assert np.array_equal(out, np.arange(200))
 
+    def test_partials_starting_at_different_rows_are_absorbed(
+            self, store, hdfs, config):
+        # the string column blocks at half the int column's rows, so after
+        # the first append its partial block starts later than the ints'
+        n = rows_per_block(STRING, config) + 10
+        assert n < rows_per_block(INT64, config)
+        batches = [make_columns(n), make_columns(n, offset=n),
+                   make_columns(3, offset=2 * n)]
+        store.append(batches[0], writer="n1")
+        starts = {name: ref.row_start
+                  for name, ref in store._partial_refs.items()}
+        assert starts["k"] < starts["s"]
+        store.append(batches[1], writer="n1")
+        assert all(hdfs.exists(ref.path)
+                   for refs in store.blocks.values() for ref in refs)
+        store.append(batches[2], writer="n1")
+        total = 2 * n + 3
+        assert store.n_stable == total
+        assert np.array_equal(store.read_column("k"), np.arange(total))
+        assert list(store.read_column("s")) == [
+            v for batch in batches for v in batch["s"]]
+        ranges = store.minmax.qualifying_ranges([("k", ">=", total - 3)],
+                                                total)
+        assert ranges and ranges[-1][1] == total
+
     def test_chunk_rollover(self, store, config):
         # enough rows to exceed blocks_per_chunk blocks
         per_block = rows_per_block(INT64, config)
