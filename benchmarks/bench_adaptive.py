@@ -66,6 +66,9 @@ STAR_SQL = ("SELECT sum(l_extendedprice) AS s FROM lineitem "
 
 def _fresh_cluster(tpch_data, overrides) -> VectorHCluster:
     config = Config().scaled_for_tests()
+    # simulated time from BatchCostModel, not per-round wall time, so the
+    # trajectory's sim_s keys repeat exactly between runs of one commit
+    config.workload_deterministic = True
     for key, value in overrides.items():
         setattr(config, key, value)
     cluster = VectorHCluster(n_nodes=N_WORKERS, config=config)
@@ -211,6 +214,7 @@ def test_adaptive_ablation(tpch_data):
         "scale_factor": SCALE_FACTOR,
         "workers": N_WORKERS,
         "runs_per_query": N_RUNS,
+        "cost_model": "batch",
         "configs": results,
         "acceptance": {
             "exchange_strategy_changed": off_ex != fb_ex,

@@ -17,9 +17,9 @@ the previous entry:
 * the tolerance is ``REPRO_TRAJ_TOL`` (default 0.25, i.e. a metric may
   drift 25% before the gate trips) with a 1e-6 absolute slack so
   zero-valued metrics never trip on noise;
-* a bench whose context (``scale_factor``/``workers``/``seeds``)
-  changed since the previous entry is recorded but not gated — the
-  numbers are not comparable;
+* a bench whose context (``scale_factor``/``workers``/``seeds``/
+  ``runs_per_query``/``cost_model``) changed since the previous entry
+  is recorded but not gated — the numbers are not comparable;
 * ``REPRO_TRAJ_CHECK=0`` records the entry without enforcing (useful
   while intentionally changing the cost model).
 
@@ -56,7 +56,8 @@ MAX_ENTRIES = 50
 GATED_SUFFIXES = ("_s", "_ms", "_qps")
 #: keys whose values describe the run, not its performance: a change
 #: in any of these makes two entries incomparable for that bench
-CONTEXT_KEYS = ("scale_factor", "workers", "seeds", "runs_per_query")
+CONTEXT_KEYS = ("scale_factor", "workers", "seeds", "runs_per_query",
+                "cost_model")
 
 
 def flatten(obj: Any, prefix: str = "") -> Dict[str, float]:
@@ -99,6 +100,9 @@ def collect(results_dir: pathlib.Path = RESULTS_DIR) -> Dict[str, dict]:
         name = path.stem[len("BENCH_"):]
         metrics = flatten(payload)
         context = {k: metrics.pop(k) for k in CONTEXT_KEYS if k in metrics}
+        # string context values (e.g. the cost model) are not metrics
+        context.update({k: payload[k] for k in CONTEXT_KEYS
+                        if isinstance(payload.get(k), str)})
         benches[name] = {"context": context, "metrics": metrics}
     return benches
 

@@ -39,19 +39,30 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns an int64 array of ``count`` codes."""
+    """Inverse of :func:`pack_bits`; returns an int64 array of ``count`` codes.
+
+    Code ``i`` starts at bit ``i * width``: one unaligned little-endian
+    64-bit read at byte ``(i * width) >> 3``, shifted right by
+    ``(i * width) & 7`` and masked, recovers it -- a code of at most 32
+    bits plus a shift of at most 7 always fits in one word.
+    """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     if width < 1 or width > MAX_CODE_WIDTH:
         raise CompressionError(f"unsupported code width {width}")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    bits = np.unpackbits(buf, bitorder="little")
-    needed = count * width
-    if bits.size < needed:
+    n_bytes = packed_size(count, width)
+    if len(data) < n_bytes:
         raise CompressionError("bit stream too short")
-    bits = bits[:needed].reshape(count, width).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    return (bits * weights).sum(axis=1).astype(np.int64)
+    # 8 zero bytes of padding let the last codes read a whole word
+    buf = np.zeros(n_bytes + 8, dtype=np.uint8)
+    buf[:n_bytes] = np.frombuffer(data, dtype=np.uint8, count=n_bytes)
+    words = np.ndarray((n_bytes + 1,), dtype="<u8", buffer=buf,
+                       strides=(1,))
+    offsets = np.arange(0, count * width, width, dtype=np.int64)
+    codes = words.take(offsets >> 3)
+    codes >>= (offsets & 7).astype(np.uint64)
+    codes &= np.uint64((1 << width) - 1)
+    return codes.view(np.int64)
 
 
 def packed_size(count: int, width: int) -> int:

@@ -7,8 +7,9 @@ each incoming vector by destination and pushes it into per-link
 :class:`~repro.net.mpi.DXchgChannel` buffers (flushing whole MPI messages
 as buffers fill, so communication overlaps processing), while a
 :class:`DXchgReceiver` on the consuming side yields batches as they
-arrive. One :class:`Exchange` object holds the shared state -- receive
-queues, sender channels, progress -- and a :class:`StreamScheduler`
+arrive, coalesced into full vectors. One :class:`Exchange` object holds
+the shared state -- receive queues, sender channels, progress -- and a
+:class:`StreamScheduler`
 advances the sender fragments round-robin, one vector at a time, charging
 simulated time for the slowest stream of each round (the behaviour of a
 cluster whose streams run concurrently).
@@ -26,8 +27,8 @@ import time as _time
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.batch import Batch, batch_bytes
-from repro.engine.operators import Operator
+from repro.engine.batch import Batch, batch_bytes, concat_batches
+from repro.engine.operators import DEFAULT_VECTOR_SIZE, Operator
 from repro.engine.profile import kernel
 from repro.net.mpi import DXchgChannel, MpiFabric
 
@@ -209,7 +210,8 @@ class Exchange:
                  mode: str = STREAMING,
                  message_size: Optional[int] = None,
                  n_lanes: int = 1,
-                 registry=None):
+                 registry=None,
+                 vector_size: int = DEFAULT_VECTOR_SIZE):
         self.label = label
         self.registry = registry
         self.fabric = fabric
@@ -221,9 +223,13 @@ class Exchange:
         self.mode = mode
         self.message_size = message_size or fabric.message_size
         self.n_lanes = n_lanes
+        #: rows a receiver gathers from its queue before yielding a batch
+        self.vector_size = vector_size
         self.senders: List[_SenderState] = []
         self.receivers: Dict[str, DXchgReceiver] = {}
         self.queues: Dict[str, deque] = {}
+        #: rows waiting in each receive queue
+        self.queued_rows: Dict[str, int] = {}
         self.channels: Dict[Tuple[str, str], DXchgChannel] = {}
         self.template: Optional[Batch] = None
         self.finished = False
@@ -261,6 +267,7 @@ class Exchange:
         if stream not in self.receivers:
             self.receivers[stream] = DXchgReceiver(self, stream)
             self.queues[stream] = deque()
+            self.queued_rows[stream] = 0
         return self.receivers[stream]
 
     def _channel(self, src_stream: str, dst_stream: str) -> DXchgChannel:
@@ -319,6 +326,7 @@ class Exchange:
             queue = self.queues.get(dest_stream)
             if queue is not None:
                 queue.append((n_bytes, piece))
+                self.queued_rows[dest_stream] += piece.n
                 self._queued_bytes += n_bytes
                 self.meter.hold(self.node_of(dest_stream), n_bytes)
         self._note_occupancy()
@@ -326,6 +334,7 @@ class Exchange:
     def on_dequeue(self, dest_stream: str, n_bytes: int,
                    batch: Batch) -> None:
         self._queued_bytes -= n_bytes
+        self.queued_rows[dest_stream] -= batch.n
         self.tuples_received += batch.n
         self.meter.release(self.node_of(dest_stream), n_bytes)
 
@@ -425,6 +434,7 @@ class Exchange:
                 n_bytes, _batch = queue.popleft()
                 self._queued_bytes -= n_bytes
                 self.meter.release(self.node_of(stream), n_bytes)
+            self.queued_rows[stream] = 0
 
     def abandon(self) -> None:
         """Tear down a cancelled query's exchange without sending more.
@@ -541,8 +551,14 @@ class DXchgSender(Operator):
 
 
 class DXchgReceiver(Operator):
-    """Receiver half of a DXchg: yield batches as messages arrive,
-    pumping the sender fragments whenever the queue runs dry."""
+    """Receiver half of a DXchg: yield full vectors as messages arrive.
+
+    Hash splits cut every sender vector into one piece per destination,
+    so pieces are small. Like a VectorH receiver unpacking a whole
+    message, this one pumps the sender fragments until a vector's worth
+    of rows is queued (or the senders are done), then concatenates the
+    queued pieces in arrival order, up to one vector, into one batch.
+    """
 
     def __init__(self, exchange: Exchange, stream: str):
         super().__init__(())
@@ -556,20 +572,26 @@ class DXchgReceiver(Operator):
     def _run(self):
         ex = self.exchange
         ex.start()
-        queue = ex.queues[self.stream]
+        stream = self.stream
+        queue = ex.queues[stream]
+        target = ex.vector_size
         yielded = False
         while True:
-            if queue:
-                n_bytes, batch = queue.popleft()
-                ex.on_dequeue(self.stream, n_bytes, batch)
+            while ex.queued_rows[stream] < target and not ex.finished:
+                ex.pump()
+            if not queue:
+                break
+            pieces = []
+            n = 0
+            while queue and n < target:
+                n_bytes, piece = queue.popleft()
+                ex.on_dequeue(stream, n_bytes, piece)
                 if self.profile is not None:
                     self.profile.net_bytes += n_bytes
-                yielded = True
-                yield batch
-            elif not ex.finished:
-                ex.pump()
-            else:
-                break
+                pieces.append(piece)
+                n += piece.n
+            yielded = True
+            yield pieces[0] if len(pieces) == 1 else concat_batches(pieces)
         if not yielded and ex.template is not None:
             # all-empty input: the schema must still cross the exchange
             yield Batch.empty_like(ex.template)

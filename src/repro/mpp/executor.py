@@ -714,6 +714,7 @@ class MppExecutor:
             ctx.scheduler, meter=ctx.meter,
             mode=ctx.mode, n_lanes=ctx.n_lanes,
             registry=getattr(self.cluster, "registry", None),
+            vector_size=ctx.vector_size,
         )
 
     def _split_destinations(self, phys: P.DXHashSplit, workers: List[str]):

@@ -10,7 +10,7 @@ stable on-disk image).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.pdt.entries import (
     EntryKind,
     Identity,
     decode_identity,
-    encode_identity,
 )
 
 
@@ -61,13 +60,133 @@ class MergeResult:
         return np.flatnonzero(self.identities >= 0)
 
 
-@dataclass
 class MergePlan:
-    """Classified delta entries, ready to merge (cacheable per version)."""
+    """Classified delta entries as arrays, ready to merge.
 
-    deleted_sids: set
-    mods_stable: Dict[int, Dict[str, object]]
-    inserts: List[DeltaEntry]  # live, sorted by (anchor, seq)
+    Built once per PDT version (see ``StoredTable._merge_plan``) and reused
+    by every scan of that version, so the per-entry work happens once:
+
+    * ``deleted`` -- sorted stable SIDs of deleted tuples;
+    * ``ins_anchor``/``ins_seq``/``ins_ident`` -- the live inserts, sorted
+      by ``(anchor, seq)``, with their encoded identities;
+    * ``mod_sids[col]`` -- sorted SIDs of surviving stable tuples whose
+      ``col`` was modified (last writer wins);
+    * insert and modify *values* per column, typed to the stable column's
+      dtype on first use (:meth:`insert_values`, :meth:`mod_values`).
+
+    :meth:`restrict` maps a plan into the sub-image of selected stable
+    ranges (MinMax skipping) without touching the entries again.
+    """
+
+    def __init__(self, deleted: np.ndarray, ins_anchor: np.ndarray,
+                 ins_seq: np.ndarray, ins_ident: np.ndarray,
+                 mod_sids: Dict[str, np.ndarray],
+                 insert_rows: Sequence[Mapping[str, object]] = (),
+                 mod_items: Optional[Dict[str, list]] = None,
+                 parent: Optional["MergePlan"] = None,
+                 ins_index: Optional[np.ndarray] = None,
+                 mod_index: Optional[Dict[str, np.ndarray]] = None):
+        self.deleted = deleted
+        self.ins_anchor = ins_anchor
+        self.ins_seq = ins_seq
+        self.ins_ident = ins_ident
+        self.mod_sids = mod_sids
+        # a root plan holds the values; a restricted plan indexes its parent's
+        self._insert_rows = insert_rows
+        self._mod_items = mod_items or {}
+        self._parent = parent
+        self._ins_index = ins_index
+        self._mod_index = mod_index or {}
+        self._typed: Dict[tuple, np.ndarray] = {}
+
+    @property
+    def n_inserts(self) -> int:
+        return len(self.ins_anchor)
+
+    @property
+    def is_empty(self) -> bool:
+        return not (len(self.deleted) or self.n_inserts or self.mod_sids)
+
+    def insert_values(self, name: str, dtype: np.dtype) -> np.ndarray:
+        """Column ``name`` of the live inserts, in plan order."""
+        key = ("i", name, dtype)
+        arr = self._typed.get(key)
+        if arr is None:
+            if self._parent is not None:
+                arr = self._parent.insert_values(name, dtype)[self._ins_index]
+            else:
+                arr = np.array([row[name] for row in self._insert_rows],
+                               dtype=dtype)
+            self._typed[key] = arr
+        return arr
+
+    def mod_values(self, name: str, dtype: np.dtype) -> np.ndarray:
+        """New values of column ``name``, aligned with ``mod_sids[name]``."""
+        key = ("m", name, dtype)
+        arr = self._typed.get(key)
+        if arr is None:
+            if self._parent is not None:
+                arr = self._parent.mod_values(name, dtype)[
+                    self._mod_index[name]]
+            else:
+                arr = np.array(self._mod_items[name], dtype=dtype)
+            self._typed[key] = arr
+        return arr
+
+    def restrict(self, ranges: Sequence[Tuple[int, int]], n_stable: int):
+        """This plan over the sub-image made of the selected stable ranges.
+
+        Returns ``(sub_n, plan, offsets)``: the sub-image's size, the
+        remapped plan and the ranges' start offsets in the sub-image.
+        Inserts anchored and deletes/modifies targeted inside skipped
+        ranges are dropped -- correct because MinMax widening guarantees
+        a range containing a qualifying insert or modify is never
+        skipped, and a delete in a skipped range removes a tuple that
+        would not qualify anyway. Inserts anchored at the end of the
+        last selected range or beyond the image become tail inserts.
+        """
+        offsets = np.cumsum([0] + [e - s for s, e in ranges])
+        sub_n = int(offsets[-1])
+        if n_stable == 0 or (len(ranges) == 1 and ranges[0] == (0, n_stable)):
+            # the whole image is selected (an empty stable image has no
+            # ranges): the plan applies as it is
+            return n_stable, self, offsets
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        ends = np.array([e for _, e in ranges], dtype=np.int64)
+
+        def map_sids(sids: np.ndarray) -> np.ndarray:
+            """Sub-image position of each SID; -1 when skipped."""
+            out = np.full(len(sids), -1, dtype=np.int64)
+            if len(starts):
+                i = np.searchsorted(starts, sids, side="right") - 1
+                inside = (i >= 0) & (sids < ends[np.maximum(i, 0)])
+                out[inside] = offsets[i[inside]] + sids[inside] - \
+                    starts[i[inside]]
+                out[sids == ends[-1]] = sub_n
+            out[sids >= n_stable] = sub_n
+            return out
+
+        def map_targets(sids: np.ndarray):
+            new = map_sids(sids)
+            keep = (new >= 0) & (new < sub_n)
+            return new[keep], keep
+
+        anchors = map_sids(self.ins_anchor)
+        live = np.flatnonzero(anchors >= 0)
+        ins_index = live[np.lexsort((self.ins_seq[live], anchors[live]))]
+        deleted, _ = map_targets(self.deleted)
+        mod_sids: Dict[str, np.ndarray] = {}
+        mod_index: Dict[str, np.ndarray] = {}
+        for name, sids in self.mod_sids.items():
+            new, keep = map_targets(sids)
+            if len(new):
+                mod_sids[name] = new
+                mod_index[name] = np.flatnonzero(keep)
+        return sub_n, MergePlan(
+            deleted, anchors[ins_index], self.ins_seq[ins_index],
+            self.ins_ident[ins_index], mod_sids, parent=self,
+            ins_index=ins_index, mod_index=mod_index,
+        ), offsets
 
 
 def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
@@ -105,7 +224,27 @@ def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
                     values=merged,
                 )
     inserts = sorted(live_inserts.values(), key=lambda e: e.sort_key())
-    return MergePlan(deleted_sids, mods_stable, inserts)
+    n_ins = len(inserts)
+    mod_lists: Dict[str, Tuple[list, list]] = {}
+    for sid in sorted(mods_stable):
+        if sid in deleted_sids:
+            continue
+        for name, value in mods_stable[sid].items():
+            sids, values = mod_lists.setdefault(name, ([], []))
+            sids.append(sid)
+            values.append(value)
+    return MergePlan(
+        deleted=np.array(sorted(deleted_sids), dtype=np.int64),
+        ins_anchor=np.fromiter((e.anchor_sid for e in inserts), np.int64,
+                               n_ins),
+        ins_seq=np.fromiter((e.seq for e in inserts), np.int64, n_ins),
+        ins_ident=np.fromiter((-(e.uid + 1) for e in inserts), np.int64,
+                              n_ins),
+        mod_sids={name: np.array(sids, dtype=np.int64)
+                  for name, (sids, _) in mod_lists.items()},
+        insert_rows=[e.values for e in inserts],
+        mod_items={name: values for name, (_, values) in mod_lists.items()},
+    )
 
 
 def apply_entries(
@@ -121,81 +260,65 @@ def apply_entries(
     anchored at ``s`` (in commit-sequence order), then stable tuple ``s``
     itself unless deleted; modifies overlay the targeted tuple's values with
     last-writer-wins per column. Pass ``plan`` to reuse a cached
-    classification of the same entries.
+    classification of the same entries (or a :meth:`MergePlan.restrict`
+    of it, with ``n_stable`` the sub-image's size).
     """
     names = list(columns_wanted) if columns_wanted is not None else list(
         stable_columns
     )
-    if not entries:
+    if plan is None and entries:
+        plan = classify_entries(entries)
+    if plan is None or plan.is_empty:
         cols = {c: np.asarray(stable_columns[c]) for c in names}
         identities = np.arange(n_stable, dtype=np.int64)
         return MergeResult(cols, identities, n_stable, n_stable)
 
-    if plan is None:
-        plan = classify_entries(entries)
-    deleted_sids = plan.deleted_sids
-    mods_stable = plan.mods_stable
-    inserts = plan.inserts
-
     keep = np.ones(n_stable, dtype=bool)
-    if deleted_sids:
-        keep[np.fromiter(deleted_sids, dtype=np.int64)] = False
+    keep[plan.deleted] = False
     kept_sids = np.flatnonzero(keep).astype(np.int64)
 
-    n_ins = len(inserts)
+    n_ins = plan.n_inserts
     n_kept = len(kept_sids)
     total = n_kept + n_ins
-    tail_only = all(e.anchor_sid >= n_stable for e in inserts)
 
-    if tail_only:
+    if not n_ins or plan.ins_anchor[0] >= n_stable:
         # Fast path (the dominant case: trickle appends + deletes): kept
         # stable rows in order, inserts appended -- no interleaving sort.
         stable_positions = np.arange(n_kept)
-        gather_sids = kept_sids
         ins_src = np.arange(n_ins)
         insert_positions = n_kept + ins_src
     else:
         # Interleave kept stable tuples and inserts by (anchor, rank, seq).
-        anchor = np.concatenate([
-            kept_sids,
-            np.fromiter((e.anchor_sid for e in inserts), np.int64, n_ins),
-        ])
+        anchor = np.concatenate([kept_sids, plan.ins_anchor])
         rank = np.concatenate([
             np.ones(n_kept, np.int64), np.zeros(n_ins, np.int64),
         ])
-        seq = np.concatenate([
-            np.zeros(n_kept, np.int64),
-            np.fromiter((e.seq for e in inserts), np.int64, n_ins),
-        ])
+        seq = np.concatenate([np.zeros(n_kept, np.int64), plan.ins_seq])
         order = np.lexsort((seq, rank, anchor))
         is_stable_src = order < n_kept
+        # stable tuples keep their relative (ascending SID) order
         stable_positions = np.flatnonzero(is_stable_src)
         insert_positions = np.flatnonzero(~is_stable_src)
-        gather_sids = kept_sids[order[is_stable_src]]
         ins_src = order[~is_stable_src] - n_kept
 
     out_identities = np.empty(total, dtype=np.int64)
-    out_identities[stable_positions] = gather_sids
+    out_identities[stable_positions] = kept_sids
     if n_ins:
-        out_identities[insert_positions] = np.fromiter(
-            (encode_identity(("i", inserts[i].uid)) for i in ins_src),
-            np.int64, n_ins,
-        )
+        out_identities[insert_positions] = plan.ins_ident[ins_src]
 
     columns: Dict[str, np.ndarray] = {}
     for name in names:
         src = np.asarray(stable_columns[name])
         out = np.empty(total, dtype=src.dtype)
-        out[stable_positions] = src[gather_sids]
-        for outpos, i in zip(insert_positions.tolist(), ins_src.tolist()):
-            out[outpos] = inserts[i].values[name]
-        for sid, colvals in mods_stable.items():
-            if name not in colvals or not keep[sid]:
-                continue
-            # gather_sids is sorted in both paths, so locate by bisection
-            pos = int(np.searchsorted(gather_sids, sid))
-            if pos < len(gather_sids) and gather_sids[pos] == sid:
-                out[stable_positions[pos]] = colvals[name]
+        out[stable_positions] = src[kept_sids]
+        if n_ins:
+            out[insert_positions] = plan.insert_values(name, src.dtype)[ins_src]
+        sids = plan.mod_sids.get(name)
+        if sids is not None:
+            # modified tuples survive (deleted ones were dropped), so
+            # each sits at its rank among the kept SIDs
+            pos = np.searchsorted(kept_sids, sids)
+            out[stable_positions[pos]] = plan.mod_values(name, src.dtype)
         columns[name] = out
 
     return MergeResult(columns, out_identities, total, n_stable)

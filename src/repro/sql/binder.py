@@ -139,7 +139,20 @@ def _sargable(node):
             and isinstance(node.high, ast.Literal)):
         return [(node.child.name, ">=", node.low.value),
                 (node.child.name, "<=", node.high.value)]
+    if (isinstance(node, ast.InOp) and not node.negate
+            and isinstance(node.child, ast.ColumnRef)
+            and _comparable_literals(node.values)):
+        return [(node.child.name, "in", tuple(node.values))]
     return None
+
+
+def _comparable_literals(values) -> bool:
+    """All numbers or all strings (no NULL, no unbound parameter), so the
+    list has a min and a max."""
+    if all(isinstance(v, str) for v in values):
+        return bool(values)
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values)
 
 
 class _SelectBinder:

@@ -162,4 +162,7 @@ def _interval_may_qualify(lo, hi, op: str, literal) -> bool:
     if op == "between":
         low, high = literal
         return not (hi < low or lo > high)
+    if op == "in":
+        return bool(len(literal)) and lo <= max(literal) and \
+            hi >= min(literal)
     return True  # unknown operator: never skip

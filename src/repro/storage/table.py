@@ -148,7 +148,7 @@ class StoredTable:
         A literal with more digits than the scale widens its bound to
         the next whole storage value, so MinMax stays conservative."""
         fixed = []
-        for col, op, literal in predicates:
+        for col, op, literal in _in_as_range(predicates):
             scale = self._decimal_scale(col)
             if (scale is not None and isinstance(literal, numbers.Real)
                     and not isinstance(literal, (bool, np.bool_))):
@@ -361,8 +361,8 @@ class StoredTable:
             may_disorder = False
         elif plan is not None:
             # live inserts are sorted by anchor
-            may_disorder = bool(plan.inserts) and \
-                plan.inserts[0].anchor_sid < n_stable
+            may_disorder = bool(plan.n_inserts) and \
+                plan.ins_anchor[0] < n_stable
         else:
             may_disorder = any(
                 e.kind.value == "insert" and e.anchor_sid < n_stable
@@ -382,13 +382,11 @@ class StoredTable:
             cols = {c: self._from_storage(c, stable_cols[c]) for c in requested}
             return ScanResult(cols, identities, n)
 
-        sub_n, remapped, offsets = _remap_entries(
-            entries, ranges, store.n_stable
-        )
-        if remapped is not entries:
-            plan = None  # classified from the remapped entries instead
         with kernel("scan.pdt_merge") as k:
-            merged = apply_entries(stable_cols, sub_n, remapped, needed,
+            if plan is None:
+                plan = classify_entries(entries)
+            sub_n, plan, offsets = plan.restrict(ranges, n_stable)
+            merged = apply_entries(stable_cols, sub_n, entries, needed,
                                    plan=plan)
             k.account(rows=merged.n_rows)
         identities = _restore_identities(merged.identities, ranges, offsets)
@@ -533,71 +531,25 @@ class StoredTable:
 
 # ------------------------------------------------------------------ helpers
 
+def _in_as_range(predicates):
+    """``in`` lists as the ``[min, max]`` range of their values, the part
+    of them MinMax skipping can use (an empty list skips nothing here;
+    partition pruning already reads no partition for it)."""
+    for col, op, literal in predicates:
+        if op == "in":
+            if len(literal):
+                yield col, ">=", min(literal)
+                yield col, "<=", max(literal)
+        else:
+            yield col, op, literal
+
+
 def _identities_for_ranges(ranges) -> np.ndarray:
     if not ranges:
         return np.empty(0, dtype=np.int64)
     return np.concatenate([
         np.arange(start, end, dtype=np.int64) for start, end in ranges
     ])
-
-
-def _remap_entries(entries, ranges, n_stable):
-    """Map entries into the sub-image made of the selected stable ranges.
-
-    Entries anchored/targeted inside skipped ranges are dropped -- correct
-    because MinMax widening guarantees a range containing a qualifying
-    insert or modify is never skipped, and a delete in a skipped range
-    removes a tuple that would not qualify anyway.
-    """
-    ends = [r[1] for r in ranges]
-    offsets = np.cumsum([0] + [e - s for s, e in ranges])
-    sub_n = int(offsets[-1])
-
-    def map_sid(sid: int) -> Optional[int]:
-        if sid >= n_stable:  # tail anchor
-            return sub_n
-        for i, (s, e) in enumerate(ranges):
-            if s <= sid < e:
-                return int(offsets[i] + (sid - s))
-        if ranges and sid == ends[-1]:
-            return sub_n
-        return None
-
-    if n_stable == 0 or (len(ranges) == 1 and ranges[0] == (0, n_stable)):
-        # the whole image is selected (an empty stable image has no
-        # ranges): entries keep their anchors and targets
-        return n_stable, entries, offsets
-
-    # Entries are read-only during merging, so remapped clones share the
-    # values dict instead of copying it (scans are hot; keep this lean).
-    from repro.pdt.entries import DeltaEntry
-
-    remapped = []
-    for e in entries:
-        if e.kind.value == "insert":
-            new_anchor = map_sid(e.anchor_sid)
-            if new_anchor is None:
-                continue
-            remapped.append(DeltaEntry(
-                kind=e.kind, anchor_sid=new_anchor, seq=e.seq, uid=e.uid,
-                values=e.values,
-            ))
-        else:
-            tag, value = e.target
-            if tag == "s":
-                new_sid = map_sid(value)
-                if new_sid is None or new_sid >= sub_n:
-                    continue
-                remapped.append(DeltaEntry(
-                    kind=e.kind, anchor_sid=new_sid, seq=e.seq,
-                    target=("s", new_sid), values=e.values,
-                ))
-            else:
-                remapped.append(DeltaEntry(
-                    kind=e.kind, anchor_sid=0, seq=e.seq, target=e.target,
-                    values=e.values,
-                ))
-    return sub_n, remapped, offsets
 
 
 def _restore_identities(sub_identities: np.ndarray, ranges,

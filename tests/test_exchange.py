@@ -8,12 +8,20 @@ import pytest
 from repro.common.config import Config
 from repro.common.types import INT64
 from repro.cluster import VectorHCluster
-from repro.engine.exchange import MATERIALIZE, STREAMING
+from repro.engine.exchange import (
+    MATERIALIZE,
+    STREAMING,
+    Exchange,
+    MemoryMeter,
+    StreamScheduler,
+)
 from repro.engine.expressions import Col
+from repro.engine.operators import DEFAULT_VECTOR_SIZE, Limit, VectorSource
 from repro.mpp import plan as P
 from repro.mpp.executor import MASTER_STREAM, MppExecutor
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
 from repro.mpp.rewriter import RewriterFlags
+from repro.net.mpi import MpiFabric
 from repro.storage import Column, TableSchema
 
 N_FACT = 6000
@@ -221,3 +229,163 @@ class TestRegressions:
         outbound = [link for link in cluster.mpi.bytes_by_link
                     if link[0] == master and link[1] != master]
         assert outbound, "no master->worker traffic recorded"
+
+
+# ------------------------------------------------- full-vector receivers
+
+DESTS = ["w0", "w1", "w2"]
+NODE_OF = {"s0": "n0", "s1": "n1", "s2": "n2", "s3": "n0",
+           "w0": "n0", "w1": "n1", "w2": "n2", "master": "n0"}
+
+
+def _route(kind):
+    if kind == "hash":
+        def route(src, batch):
+            dest = batch.columns["k"] % len(DESTS)
+            return [(w, batch.select(dest == i))
+                    for i, w in enumerate(DESTS)]
+        return route, DESTS
+    if kind == "union":
+        return (lambda src, batch: [("master", batch)]), ["master"]
+    return (lambda src, batch: [(w, batch) for w in DESTS]), DESTS
+
+
+def _exchange(kind, mode=STREAMING, rows=3000, vector=100, senders=4,
+              empty=False):
+    """An exchange over ``senders`` sources of small vectors, so every
+    routed piece is far below a full vector."""
+    route, dests = _route(kind)
+    meter = MemoryMeter()
+    ex = Exchange(f"X[{kind}]", MpiFabric(message_size=4096), route, dests,
+                  NODE_OF.__getitem__, StreamScheduler(), meter=meter,
+                  mode=mode)
+    for s in range(senders):
+        n = 0 if empty else rows
+        keys = np.arange(s * rows, s * rows + n, dtype=np.int64)
+        cols = {"k": keys, "v": keys * 3.5}
+        ex.add_sender(f"s{s}", VectorSource(cols, vector_size=vector))
+    for dest in dests:
+        ex.attach_receiver(dest)
+    return ex, meter
+
+
+def _piecewise(ex, stream):
+    """The receiver before coalescing: one queued piece per batch."""
+    ex.start()
+    queue = ex.queues[stream]
+    pieces = []
+    while True:
+        if queue:
+            n_bytes, piece = queue.popleft()
+            ex.on_dequeue(stream, n_bytes, piece)
+            pieces.append(piece)
+        elif not ex.finished:
+            ex.pump()
+        else:
+            return pieces
+
+
+def _rows(batches):
+    return [(k, v) for b in batches
+            for k, v in zip(b.columns["k"].tolist(), b.columns["v"].tolist())]
+
+
+def _drain_interleaved(ex):
+    """Pull the receivers round-robin, one batch at a time."""
+    iters = {d: ex.receivers[d].execute() for d in ex.receivers}
+    out = {d: [] for d in iters}
+    while iters:
+        for dest in list(iters):
+            batch = next(iters[dest], None)
+            if batch is None:
+                del iters[dest]
+            else:
+                out[dest].append(batch)
+    return out
+
+
+class TestFullVectorReceivers:
+    @pytest.mark.parametrize("kind", ["hash", "union", "broadcast"])
+    @pytest.mark.parametrize("mode", [STREAMING, MATERIALIZE])
+    def test_rows_arrive_in_queue_order(self, kind, mode):
+        old, _ = _exchange(kind, mode)
+        want = {d: _rows(_piecewise(old, d)) for d in old.receivers}
+        new, _ = _exchange(kind, mode)
+        got = _drain_interleaved(new)
+        for dest, batches in got.items():
+            assert _rows(batches) == want[dest]
+            assert all(b.columns["k"].dtype == np.int64 for b in batches)
+        assert new.tuples_received == old.tuples_received
+
+    @pytest.mark.parametrize("kind", ["hash", "union", "broadcast"])
+    def test_every_batch_but_the_last_is_a_full_vector(self, kind):
+        ex, _ = _exchange(kind)
+        pieces, _ = _exchange(kind)
+        n_pieces = sum(len(_piecewise(pieces, d)) for d in pieces.receivers)
+        got = _drain_interleaved(ex)
+        for batches in got.values():
+            assert batches
+            assert all(b.n >= DEFAULT_VECTOR_SIZE for b in batches[:-1])
+            assert 0 < batches[-1].n
+        # the pieces really were small: coalescing cut the batch count
+        assert sum(len(b) for b in got.values()) < n_pieces / 4
+
+    @pytest.mark.parametrize("mode", [STREAMING, MATERIALIZE])
+    def test_meter_returns_to_zero(self, mode):
+        ex, meter = _exchange("hash", mode)
+        _drain_interleaved(ex)
+        assert ex.finished
+        assert all(v == 0 for v in meter.current.values())
+        assert all(v == 0 for v in ex.queued_rows.values())
+        assert max(meter.peak.values()) > 0
+
+    def test_streaming_queues_less_than_materialize(self):
+        streaming, _ = _exchange("hash", STREAMING, rows=20000)
+        _drain_interleaved(streaming)
+        materialize, _ = _exchange("hash", MATERIALIZE, rows=20000)
+        _drain_interleaved(materialize)
+        assert streaming.bytes_sent == materialize.bytes_sent
+        assert streaming.peak_queued < materialize.peak_queued
+
+    def test_limit_root_closes_early(self):
+        ex, meter = _exchange("union", rows=20000)
+        out = list(Limit(ex.receivers["master"], 10).execute())
+        assert sum(b.n for b in out) == 10
+        assert not ex.senders_done
+        assert ex.tuples_in < 4 * 20000
+        ex.abandon()
+        assert all(v == 0 for v in meter.current.values())
+
+    @pytest.mark.parametrize("kind", ["hash", "union", "broadcast"])
+    def test_all_empty_input_yields_typed_empty_batch(self, kind):
+        ex, _ = _exchange(kind, empty=True)
+        got = _drain_interleaved(ex)
+        for batches in got.values():
+            [batch] = batches
+            assert batch.n == 0
+            assert batch.columns["k"].dtype == np.int64
+            assert batch.columns["v"].dtype == np.float64
+
+    def test_query_receivers_deliver_full_vectors(self, cluster):
+        """End to end: above a hash split, operators see vectors of the
+        engine's size, not the per-destination pieces."""
+        from repro.mpp.rewriter import ParallelRewriter
+        scan = ParallelRewriter(cluster, RESHUFFLE).rewrite(
+            LScan("fact", ["pk", "fk", "v"]))
+        phys = P.DXUnion(P.DXHashSplit(scan, ["fk"]))
+        result = MppExecutor(cluster).execute(phys)
+        assert result.batch.n == N_FACT
+
+        def walk(node):
+            yield node
+            for child in node.children:
+                yield from walk(child)
+
+        [recv] = [node for root in result.profiles for node in walk(root)
+                  if node.label.startswith("DXchgHashSplit")
+                  and node.label.endswith(".recv")]
+        vector = cluster.config.vector_size
+        n_streams = len(cluster.workers)
+        assert recv.tuples_out == N_FACT
+        # at most one short batch per receiving stream
+        assert recv.batches <= N_FACT // vector + n_streams

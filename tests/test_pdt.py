@@ -7,7 +7,7 @@ identical images.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.errors import TransactionAborted
 from repro.pdt import PdtStack, apply_entries
@@ -19,7 +19,7 @@ from repro.pdt.entries import (
     inserted,
     stable,
 )
-from repro.pdt.layer import PdtLayer
+from repro.pdt.layer import PdtLayer, classify_entries
 
 
 def image(columns, n, entries):
@@ -322,3 +322,310 @@ def _anchor_of(trans, code):
 
 def _sorted_copy(model):
     return list(model)
+
+
+# ------------------------------------------- array merge vs per-entry merge
+
+def reference_merge(columns, n_stable, entries, names):
+    """Per-entry positional merge: replay the entries in commit order,
+    then walk the stable image emitting, before each stable tuple, the
+    inserts anchored at it (commit order), and the tuple itself unless
+    deleted, with its modifies overlaid. Returns (identities, columns)."""
+    deleted, mods, inserts = set(), {}, {}
+    for e in sorted(entries, key=lambda e: e.seq):
+        if e.kind is EntryKind.INSERT:
+            inserts[e.uid] = (e.anchor_sid, e.seq, dict(e.values))
+            continue
+        tag, value = e.target
+        if e.kind is EntryKind.DELETE:
+            if tag == "s":
+                deleted.add(value)
+            else:
+                inserts.pop(value, None)
+        elif tag == "s":
+            mods.setdefault(value, {}).update(e.values)
+        elif value in inserts:
+            inserts[value][2].update(e.values)
+    pending = sorted(inserts.items(), key=lambda item: item[1][:2])
+    rows = []  # (identity, {column: value})
+    for sid in range(n_stable):
+        while pending and pending[0][1][0] <= sid:
+            uid, (_, _, values) = pending.pop(0)
+            rows.append((-(uid + 1), values))
+        if sid not in deleted:
+            values = {name: columns[name][sid] for name in names}
+            values.update(mods.get(sid, {}))
+            rows.append((sid, values))
+    for uid, (_, _, values) in pending:
+        rows.append((-(uid + 1), values))
+    out = {}
+    for name in names:
+        col = np.empty(len(rows), dtype=np.asarray(columns[name]).dtype)
+        for i, (_, values) in enumerate(rows):
+            col[i] = values[name]
+        out[name] = col
+    return np.array([ident for ident, _ in rows], dtype=np.int64), out
+
+
+MERGE_NAMES = ["i", "d", "s", "f"]
+
+
+def _merge_values(draw, names):
+    value_of = {
+        "i": st.integers(-2**40, 2**40),
+        "d": st.integers(-10**9, 10**9).map(np.int64),  # DECIMAL storage
+        "s": st.text(max_size=4),
+        "f": st.floats(allow_nan=False, allow_infinity=False, width=32),
+    }
+    return {name: draw(value_of[name]) for name in names}
+
+
+@st.composite
+def delta_entries(draw):
+    """A random committed entry log: inserts anywhere (tail and
+    non-tail), deletes and modifies of stable tuples (deleted ones
+    included) and of inserts (deleted ones included)."""
+    n_stable = draw(st.integers(0, 30))
+    entries, uids = [], []
+    for seq in range(1, draw(st.integers(1, 60)) + 1):
+        kind = draw(st.sampled_from(
+            ["insert", "insert", "delete", "modify", "modify"]))
+        if kind == "insert":
+            uid = 1000 + seq
+            uids.append(uid)
+            entries.append(DeltaEntry(
+                EntryKind.INSERT, draw(st.integers(0, n_stable + 2)), seq,
+                uid=uid, values=_merge_values(draw, MERGE_NAMES)))
+            continue
+        if uids and (n_stable == 0 or draw(st.booleans())):
+            target = inserted(draw(st.sampled_from(uids)))
+        elif n_stable:
+            target = stable(draw(st.integers(0, n_stable - 1)))
+        else:
+            continue
+        names = draw(st.lists(st.sampled_from(MERGE_NAMES), min_size=1,
+                              unique=True))
+        entries.append(DeltaEntry(
+            EntryKind.DELETE if kind == "delete" else EntryKind.MODIFY,
+            target[1] if target[0] == "s" else 0, seq, target=target,
+            values={} if kind == "delete" else _merge_values(draw, names)))
+    draw(st.randoms()).shuffle(entries)  # merge order comes from seq only
+    return n_stable, entries
+
+
+def _stable_image(n):
+    return {
+        "i": np.arange(n, dtype=np.int64) * 7,
+        "d": np.arange(n, dtype=np.int64) * 125,
+        "s": np.array([f"s{i}" for i in range(n)], dtype=object),
+        "f": np.arange(n, dtype=np.float64) / 4,
+    }
+
+
+def _assert_same_merge(got, identities, columns):
+    assert got.identities.dtype == np.int64
+    assert got.identities.tolist() == identities.tolist()
+    assert got.n_rows == len(identities)
+    for name, col in columns.items():
+        assert got.columns[name].dtype == col.dtype
+        assert got.columns[name].tolist() == col.tolist()
+
+
+@given(delta_entries())
+@settings(max_examples=200, deadline=None)
+def test_array_merge_matches_per_entry_merge(case):
+    n_stable, entries = case
+    base = _stable_image(n_stable)
+    want = reference_merge(base, n_stable, entries, MERGE_NAMES)
+    _assert_same_merge(apply_entries(base, n_stable, entries), *want)
+    # one classified plan, reused by two merges (the scan-side cache)
+    plan = classify_entries(entries)
+    for names in (MERGE_NAMES, ["s", "d"]):
+        got = apply_entries(base, n_stable, entries, names, plan=plan)
+        _assert_same_merge(got, want[0],
+                           {name: want[1][name] for name in names})
+
+
+def remap_reference(entries, ranges, n_stable):
+    """Per-entry map of an entry log into the sub-image of the selected
+    stable ranges: entries inside skipped ranges are dropped, inserts
+    anchored at the end of the last range or beyond the image become
+    tail inserts. A whole image keeps the log as it is."""
+    if n_stable == 0 or ranges == [(0, n_stable)]:
+        return n_stable, entries
+    offsets = [0]
+    for start, end in ranges:
+        offsets.append(offsets[-1] + end - start)
+    sub_n = offsets[-1]
+
+    def map_sid(sid):
+        if sid >= n_stable:
+            return sub_n
+        for i, (start, end) in enumerate(ranges):
+            if start <= sid < end:
+                return offsets[i] + sid - start
+        return sub_n if ranges and sid == ranges[-1][1] else None
+
+    out = []
+    for e in entries:
+        if e.kind is EntryKind.INSERT:
+            anchor = map_sid(e.anchor_sid)
+            if anchor is not None:
+                out.append(DeltaEntry(e.kind, anchor, e.seq, uid=e.uid,
+                                      values=e.values))
+        elif e.target[0] == "s":
+            sid = map_sid(e.target[1])
+            if sid is not None and sid < sub_n:
+                out.append(DeltaEntry(e.kind, sid, e.seq, target=stable(sid),
+                                      values=e.values))
+        else:
+            out.append(e)
+    return sub_n, out
+
+
+@given(delta_entries(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_restricted_plan_matches_per_entry_remap(case, data):
+    """MinMax skipping: the plan restricted to the selected ranges merges
+    exactly like the entry log remapped entry by entry."""
+    n_stable, entries = case
+    edges = sorted(data.draw(st.sets(st.integers(0, n_stable),
+                                     max_size=6)) | {0, n_stable})
+    spans = list(zip(edges, edges[1:]))
+    picks = data.draw(st.lists(st.booleans(), min_size=len(spans),
+                               max_size=len(spans)))
+    ranges = []
+    for (start, end), pick in zip(spans, picks):
+        if not pick or start == end:
+            continue
+        if ranges and ranges[-1][1] == start:
+            ranges[-1] = (ranges[-1][0], end)
+        else:
+            ranges.append((start, end))
+    base = _stable_image(n_stable)
+    sub_base = {name: np.concatenate([col[:0]] + [col[s:e]
+                                                  for s, e in ranges])
+                for name, col in base.items()}
+    sub_n, remapped = remap_reference(entries, ranges, n_stable)
+    got_n, plan, offsets = classify_entries(entries).restrict(ranges,
+                                                              n_stable)
+    assert got_n == sub_n
+    assert offsets.tolist() == [0] + np.cumsum(
+        [e - s for s, e in ranges]).tolist()
+    want = reference_merge(sub_base, sub_n, remapped, MERGE_NAMES)
+    _assert_same_merge(
+        apply_entries(sub_base, sub_n, entries, MERGE_NAMES, plan=plan),
+        *want)
+
+
+N_CLUSTERED = 3000
+
+
+@pytest.fixture(scope="module")
+def clustered_table():
+    from repro.cluster import VectorHCluster
+    from repro.common.config import Config
+    from repro.common.types import DECIMAL, INT64, STRING
+    from repro.storage import Column, TableSchema
+    cluster = VectorHCluster(n_nodes=2, config=Config().scaled_for_tests())
+    cluster.create_table(TableSchema(
+        "c", [Column("k", INT64), Column("s", STRING),
+              Column("d", DECIMAL)],
+        clustered_on=("k",)))
+    keys = np.arange(0, 2 * N_CLUSTERED, 2, dtype=np.int64)
+    cluster.bulk_load("c", {
+        "k": keys, "s": np.array([f"s{k}" for k in keys], dtype=object),
+        "d": keys * 0.25})
+    return cluster.tables["c"]
+
+
+@st.composite
+def clustered_scripts(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ["insert", "delete", "modify", "modify_sid", "commit"]))
+        ops.append((kind, draw(st.integers(0, 2 * N_CLUSTERED + 10)),
+                    draw(st.sampled_from(["s", "d"]))))
+    return ops
+
+
+def _scan_rows(scan):
+    """identity -> row of a scan result (storage-independent values)."""
+    cols = sorted(scan.columns)
+    return {int(ident): tuple(scan.columns[c][i] for c in cols)
+            for i, ident in enumerate(scan.identities.tolist())}
+
+
+def _expected_rows(table, entries, predicate):
+    store = table.partitions[0]
+    names = ["d", "k", "s"]
+    stable_cols = store.read_columns(names)
+    identities, merged = reference_merge(stable_cols, store.n_stable,
+                                         entries, names)
+    merged = {c: table._from_storage(c, merged[c]) for c in names}
+    keep = predicate(merged["k"])
+    return {int(ident): tuple(merged[c][i] for c in names)
+            for i, ident in enumerate(identities.tolist()) if keep[i]}
+
+
+@given(clustered_scripts())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_clustered_scans_match_per_entry_merge(clustered_table, script):
+    """Scans of a clustered STRING/DECIMAL table under random PDT
+    updates (non-tail inserts, deletes, modifies -- of deleted SIDs
+    too) return the per-entry merge, with and without MinMax skipping,
+    and two scans of one cached plan return identical output."""
+    table = clustered_table
+    stack = table.pdt[0]
+    stack.clear_after_propagation()
+    table._merge_plan_cache.clear()
+    cols = ["k", "s", "d"]
+    trans = stack.begin()
+    for kind, pos, col in script:
+        if kind == "commit":
+            stack.commit(trans)
+            trans = stack.begin()
+            continue
+        if kind == "insert":
+            key = 2 * pos + 1  # odd: lands between stable keys
+            table.insert_rows(0, {"k": np.array([key]),
+                                  "s": np.array([f"i{key}"], dtype=object),
+                                  "d": np.array([key * 0.5])}, trans)
+            continue
+        if kind == "modify_sid":
+            target = stable(pos % N_CLUSTERED)
+            trans.modify(target, {"s": f"m{pos}"}, anchor_sid=target[1])
+            continue
+        visible = table.scan_partition(0, ["k"], trans=trans)
+        if not visible.n_rows:
+            continue
+        ident = visible.identities[pos % visible.n_rows: ][:1]
+        if kind == "delete":
+            table.delete_rows(0, ident, trans)
+        else:
+            value = f"u{pos}" if col == "s" else np.array([pos * 0.01])
+            value = np.array([value], dtype=object) if col == "s" else value
+            table.modify_rows(0, ident, {col: value}, trans)
+    stack.commit(trans)
+
+    entries = stack.scan_entries()
+    everything = _expected_rows(table, entries, lambda k: k >= 0)
+    first = table.scan_partition(0, cols)
+    assert _scan_rows(first) == everything
+    plan = table._merge_plan_cache[0][2]
+    second = table.scan_partition(0, cols)
+    assert table._merge_plan_cache[0][2] is plan
+    assert first.identities.tolist() == second.identities.tolist()
+    for c in cols:
+        assert first.columns[c].dtype == second.columns[c].dtype
+        assert first.columns[c].tolist() == second.columns[c].tolist()
+    # MinMax skips the upper blocks; the restricted plan still merges
+    # every qualifying row
+    bound = N_CLUSTERED // 2
+    skipped = table.scan_partition(0, cols, [("k", "<", bound)])
+    assert skipped.n_rows < first.n_rows
+    assert {i: row for i, row in _scan_rows(skipped).items()
+            if row[1] < bound} == \
+        _expected_rows(table, entries, lambda k: k < bound)

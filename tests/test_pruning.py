@@ -208,6 +208,85 @@ class TestPrunedDml:
         assert out.columns["n"].tolist() == [600]
 
 
+class TestSqlInList:
+    """SQL ``col IN (literal, ...)`` becomes an ``in`` skip predicate:
+    it pins the partitions of a single-column key and MinMax-skips on
+    the ``[min, max]`` of its list."""
+
+    COLS = "o_orderkey, o_custkey, o_totalprice, o_orderdate"
+
+    def _full(self, cluster, keep):
+        full = execute_sql(cluster, f"SELECT {self.COLS} FROM orders")
+        mask = keep(full.columns)
+        return sorted_rows(full.select(mask))
+
+    def test_orderkey_in_list_reads_only_pinned_partitions(
+            self, tpch_cluster):
+        orders = tpch_cluster.tables["orders"]
+        stored = [orders.scan_partition(pid, ["o_orderkey"])
+                  .columns["o_orderkey"][:2].tolist() for pid in (0, 3)]
+        keys = sorted(stored[0] + stored[1] + [10 ** 9])  # no such key
+        pinned = orders.pinned_partitions([("o_orderkey", "in", keys)])
+        assert 0 < len(pinned) < orders.n_partitions
+        before = pruned_total(tpch_cluster)
+        got = execute_sql(
+            tpch_cluster, f"SELECT {self.COLS} FROM orders "
+            f"WHERE o_orderkey IN ({', '.join(map(str, keys))})")
+        assert pruned_total(tpch_cluster) - before == \
+            orders.n_partitions - len(pinned)
+        want = self._full(tpch_cluster,
+                          lambda c: np.isin(c["o_orderkey"], keys))
+        assert len(want) == 4
+        assert sorted_rows(got) == want
+        plan = execute_sql(
+            tpch_cluster, "EXPLAIN ANALYZE SELECT o_custkey FROM orders "
+            f"WHERE o_orderkey IN ({', '.join(map(str, keys))})")
+        scan = next(line for line in plan.columns["plan"]
+                    if "MScan[orders]" in line)
+        assert f"partitions {len(pinned)}/{orders.n_partitions}" in scan
+
+    def test_in_list_on_a_clustered_column_skips_blocks(self, tpch_cluster):
+        registry = tpch_cluster.registry
+        before = registry.value("minmax_blocks_skipped_total",
+                                table="orders")
+        sql = (f"SELECT {self.COLS} FROM orders WHERE o_orderdate IN "
+               "(date '1992-01-02', date '1992-01-03')")
+        got = execute_sql(tpch_cluster, sql)
+        assert registry.value("minmax_blocks_skipped_total",
+                              table="orders") > before
+        days = execute_sql(tpch_cluster, sql.replace(
+            "IN (date '1992-01-02', date '1992-01-03')",
+            "BETWEEN date '1992-01-02' AND date '1992-01-03'"))
+        assert got.n == days.n > 0
+        assert sorted_rows(got) == self._full(
+            tpch_cluster, lambda c: np.isin(c["o_orderdate"],
+                                            days.columns["o_orderdate"]))
+
+    def test_decimal_in_list_matches_full_scan(self, tpch_cluster):
+        prices = execute_sql(
+            tpch_cluster, "SELECT o_totalprice FROM orders"
+        ).columns["o_totalprice"][:3].tolist()
+        literals = [round(p, 2) for p in prices] + [0.005]
+        got = execute_sql(
+            tpch_cluster, f"SELECT {self.COLS} FROM orders WHERE "
+            f"o_totalprice IN ({', '.join(map(repr, literals))})")
+        want = self._full(tpch_cluster,
+                          lambda c: np.isin(c["o_totalprice"], literals))
+        assert len(want) >= 3
+        assert sorted_rows(got) == want
+
+    def test_unusable_in_lists_make_no_skip_predicate(self, tpch_cluster):
+        from repro.sql.binder import _sargable
+        from repro.sql.parser import SqlParser
+        for where, sargable in (("o_orderkey IN (1, 2)", True),
+                                ("o_orderkey NOT IN (1, 2)", False),
+                                ("o_orderkey IN (1, 'x')", False),
+                                ("o_orderkey IN (1, NULL)", False)):
+            stmt = SqlParser(f"SELECT o_orderkey FROM orders "
+                             f"WHERE {where}").parse()
+            assert bool(_sargable(stmt.where)) is sargable, where
+
+
 # --------------------------------------------------------- property test
 
 @pytest.fixture(scope="module")
