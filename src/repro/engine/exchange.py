@@ -9,10 +9,9 @@ as buffers fill, so communication overlaps processing), while a
 :class:`DXchgReceiver` on the consuming side yields batches as they
 arrive, coalesced into full vectors. One :class:`Exchange` object holds
 the shared state -- receive queues, sender channels, progress -- and a
-:class:`StreamScheduler`
-advances the sender fragments round-robin, one vector at a time, charging
-simulated time for the slowest stream of each round (the behaviour of a
-cluster whose streams run concurrently).
+:class:`StreamScheduler` advances the sender fragments round-robin, one
+vector at a time, charging simulated time for the slowest stream of each
+round (the behaviour of a cluster whose streams run concurrently).
 
 ``mode="materialize"`` keeps the old stop-and-go schedule (each sender
 fragment drained completely before consumers start) over the *same*
